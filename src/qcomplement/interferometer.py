@@ -13,16 +13,12 @@ measurement basis spans the support of rho_BC.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .core import PureState, UnitaryMatrix, DensityMatrix, apply_unitary, tensor_product
 from .measures import PreferredBasis, ThetaAngles, preferred_basis
-
-GOLDEN_PHI_TOL = 1e-9
-_INV_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
 LOCKED = "locked"
 INDEPENDENT = "independent"
@@ -47,9 +43,10 @@ class PhaseGrid:
             diffs = np.diff(vals)
             if np.any(diffs <= 0) or np.max(np.abs(diffs - diffs[0])) > 1e-12:
                 raise ValueError("phase grid must be strictly increasing and uniform")
-            if vals[0] != 0.0 or vals[-1] + diffs[0] > 2 * np.pi + 1e-9:
-                if vals[0] != 0.0:
-                    raise ValueError("phase grid must start at 0")
+            if vals[0] != 0.0:
+                raise ValueError("phase grid must start at 0")
+            if abs(vals.size * diffs[0] - 2 * np.pi) > 1e-9:
+                raise ValueError("phase grid must cover exactly one period [0, 2pi)")
         if self.mode == LOCKED and self.phi1_values.size != self.phi2_values.size:
             raise ValueError("locked mode requires equal-length phase axes")
 
@@ -177,7 +174,6 @@ class Interferogram:
     single_bc: np.ndarray
     corrected: np.ndarray
     corrected_full: np.ndarray = field(repr=False)
-    point_joint: Callable[[float, float], np.ndarray] = field(repr=False, compare=False)
 
 
 def _transducer_batch(phis: np.ndarray) -> np.ndarray:
@@ -196,24 +192,6 @@ def _rotated_state_matrix(xi: PureState, rotation: UnitaryMatrix) -> np.ndarray:
     A-path m."""
     x = xi.amplitudes.reshape(2, 4)
     return x @ rotation.entries.T
-
-
-def _joint_from_y(y: np.ndarray, phi1: float, phi2: float) -> np.ndarray:
-    # Inlined transducer action; this sits in the refinement hot path, so the
-    # validated UnitaryMatrix wrappers are bypassed.
-    em2 = np.exp(-0.5j * phi2)
-    ep2 = np.conj(em2)
-    z = np.empty_like(y)
-    z[:, 0] = em2 * y[:, 0] + ep2 * y[:, 1]
-    z[:, 1] = -em2 * y[:, 0] + ep2 * y[:, 1]
-    z[:, 2] = em2 * y[:, 2] + ep2 * y[:, 3]
-    z[:, 3] = -em2 * y[:, 2] + ep2 * y[:, 3]
-    em1 = np.exp(-0.5j * phi1)
-    ep1 = np.conj(em1)
-    amp = np.empty_like(y)
-    amp[0] = em1 * z[0] + ep1 * z[1]
-    amp[1] = -em1 * z[0] + ep1 * z[1]
-    return 0.25 * (amp.real**2 + amp.imag**2)
 
 
 def _corrected_from_joint(joint: np.ndarray):
@@ -242,12 +220,8 @@ def sweep_interferogram(xi: PureState, basis, grid: PhaseGrid) -> Interferogram:
         amp = np.einsum("aim,bmj->abij", ua, z)
     joint = np.abs(amp) ** 2
     single_a, single_bc, corrected_full = _corrected_from_joint(joint)
-
-    def point_joint(phi1: float, phi2: float) -> np.ndarray:
-        return _joint_from_y(y, phi1, phi2)
-
     return Interferogram(grid, joint, single_a, single_bc,
-                         corrected_full[..., :, :2], corrected_full, point_joint)
+                         corrected_full[..., :, :2], corrected_full)
 
 
 def sweep_interferogram_density(rho: DensityMatrix, basis, grid: PhaseGrid) -> Interferogram:
@@ -255,134 +229,105 @@ def sweep_interferogram_density(rho: DensityMatrix, basis, grid: PhaseGrid) -> I
     rotation = basis if isinstance(basis, UnitaryMatrix) else general_basis_rotation(basis)
     rmat = rotation.entries
 
-    def point_joint(phi1: float, phi2: float) -> np.ndarray:
+    def joint_at(phi1: float, phi2: float) -> np.ndarray:
         k = tensor_product(transducer(phi1).entries, transducer_bc(phi2).entries @ rmat)
         probs = np.einsum("ij,jk,ik->i", k, rho.entries, k.conj()).real
         return probs.reshape(2, 4)
 
     if grid.mode == LOCKED:
         points = [(p, p) for p in grid.phi1_values]
-        joint = np.array([point_joint(p1, p2) for p1, p2 in points])
+        joint = np.array([joint_at(p1, p2) for p1, p2 in points])
     else:
         joint = np.array([
-            [point_joint(p1, p2) for p2 in grid.phi2_values]
+            [joint_at(p1, p2) for p2 in grid.phi2_values]
             for p1 in grid.phi1_values
         ])
     single_a, single_bc, corrected_full = _corrected_from_joint(joint)
     return Interferogram(grid, joint, single_a, single_bc,
-                         corrected_full[..., :, :2], corrected_full, point_joint)
+                         corrected_full[..., :, :2], corrected_full)
 
 
-def _golden_section(f: Callable[[float], float], a: float, b: float,
-                    tol: float = GOLDEN_PHI_TOL) -> tuple[float, float]:
-    """Maximize a unimodal function on [a, b]; returns (x, f(x))."""
-    x1 = b - _INV_GOLDEN * (b - a)
-    x2 = a + _INV_GOLDEN * (b - a)
-    f1, f2 = f(x1), f(x2)
-    while b - a > tol:
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _INV_GOLDEN * (b - a)
-            f2 = f(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _INV_GOLDEN * (b - a)
-            f1 = f(x1)
-    x = (a + b) / 2
-    return x, f(x)
+_MODES = np.arange(-1, 2)
+
+# Relative size below which the outer coefficients of a trigonometric
+# polynomial are rounding noise: they carry no root on the unit circle, but
+# left in they would swamp the companion matrix of np.roots.
+_ROUNDING_REL = 1e-12
 
 
-def _refine_1d(f: Callable[[float], float], x0: float, window: float,
-               maximize: bool) -> tuple[float, float]:
-    sign = 1.0 if maximize else -1.0
-    x, v = _golden_section(lambda x_: sign * f(x_), x0 - window, x0 + window)
-    return x, sign * v
+def _fourier_coefficients(fringe: np.ndarray, grid: PhaseGrid) -> np.ndarray:
+    """F[k + 1, l + 1] (k, l in {-1, 0, 1}): the Fourier coefficients of a
+    fringe sampled on an independent full-period grid.
+
+    Every detection amplitude is linear in exp(+-i phi1/2) and exp(+-i phi2/2),
+    so every fringe (joint, single and corrected probabilities) is a
+    trigonometric polynomial of degree <= 1 in each phase. A grid of at least
+    16 points per axis samples it without aliasing, so these are exact.
+    """
+    if grid.mode != INDEPENDENT:
+        raise ValueError("fringe visibility needs an independent phase grid: a "
+                         "locked sweep (phi1 = phi2) folds the (1, -1) fringe "
+                         "mode into the constant term")
+    e1 = np.exp(-1j * np.outer(_MODES, grid.phi1_values)) / grid.phi1_values.size
+    e2 = np.exp(-1j * np.outer(grid.phi2_values, _MODES)) / grid.phi2_values.size
+    return e1 @ fringe @ e2
 
 
-def _refine_2d(f: Callable[[float, float], float], x0: float, y0: float,
-               window: float, maximize: bool, max_rounds: int = 80) -> float:
-    """Alternating golden-section refinement over the two phase axes."""
-    sign = 1.0 if maximize else -1.0
-    x, y = x0, y0
-    best = sign * f(x, y)
-    for _ in range(max_rounds):
-        x, vx = _golden_section(lambda u: sign * f(u, y), x - window, x + window)
-        y, vy = _golden_section(lambda u: sign * f(x, u), y - window, y + window)
-        # Line searches along the phase-sum and phase-difference diagonals:
-        # the corrected fringe separates in those coordinates, where
-        # axis-aligned descent alone crawls along the ridge.
-        t, vs = _golden_section(lambda u: sign * f(x + u, y + u),
-                                -window, window)
-        x, y = x + t, y + t
-        t, vd = _golden_section(lambda u: sign * f(x + u, y - u),
-                                -window, window)
-        x, y = x + t, y - t
-        improved = vd - best
-        best = max(best, vd)
-        if improved < 1e-16:
-            break
-    return sign * best
+def _trig_roots(c: np.ndarray) -> np.ndarray:
+    """Phases of the roots of sum_k c[k + d] exp(i k phi), k = -d..d, for a
+    real-valued trigonometric polynomial (c[d - k] = conj(c[d + k])). Roots off
+    the unit circle give their angles too: harmless extra candidates."""
+    scale = np.max(np.abs(c))
+    while c.size > 1 and abs(c[0]) <= _ROUNDING_REL * scale:
+        c = c[1:-1]
+    if c.size == 1:
+        return np.empty(0)
+    return np.angle(np.roots(c[::-1]))
 
 
-def _extremum(ig: Interferogram, value_of_joint: Callable[[np.ndarray], float],
-              coarse: np.ndarray, maximize: bool) -> float:
-    grid = ig.grid
-    window = 1.5 * grid.spacing
-    flat_idx = int(np.argmax(coarse) if maximize else np.argmin(coarse))
-    if grid.mode == LOCKED:
-        phi0 = grid.phi1_values[flat_idx]
-        _, val = _refine_1d(lambda p: value_of_joint(ig.point_joint(p, p)),
-                            phi0, window, maximize)
-        return val
-    i1, i2 = np.unravel_index(flat_idx, coarse.shape)
-    phi1, phi2 = grid.phi1_values[i1], grid.phi2_values[i2]
-    return _refine_2d(lambda p1, p2: value_of_joint(ig.point_joint(p1, p2)),
-                      phi1, phi2, window, maximize)
+def _fringe_extrema(f: np.ndarray, phi1_values: np.ndarray) -> tuple[float, float]:
+    """Exact (max, min) of the fringe with 3x3 Fourier coefficients ``f``.
+
+    At fixed phi1 the fringe is A + 2|B| cos(phi2 + arg B), with
+    A = sum_k f[k, 0] e^{ik phi1} and B = sum_k f[k, 1] e^{ik phi1}, so its
+    extrema over phi2 are A +- 2|B|. Those are stationary in phi1 where
+    A'|B| = -+(|B|^2)', i.e. at roots of the degree-4 trigonometric
+    polynomial A'^2 |B|^2 - ((|B|^2)')^2. Where B vanishes identically, A'
+    alone decides; the grid values are kept as candidates as well.
+    """
+    a, b = f[:, 1], f[:, 2]
+    da = 1j * _MODES * a
+    bb = np.convolve(b, b[::-1].conj())
+    dbb = 1j * np.arange(-2, 3) * bb
+    stationary = np.convolve(np.convolve(da, da), bb) - np.convolve(dbb, dbb)
+    phis = np.concatenate([_trig_roots(stationary), _trig_roots(da), phi1_values])
+    e = np.exp(1j * np.outer(phis, _MODES))
+    mean = (e @ a).real
+    swing = 2.0 * np.abs(e @ b)
+    return float(np.max(mean + swing)), float(np.min(mean - swing))
 
 
-def visibility_single(ig: Interferogram, i: int) -> float:
-    """Single-particle fringe visibility (max-min)/(max+min) of p_A(i), with
-    golden-section extremum refinement over phi1."""
-    if i not in (0, 1):
-        raise ValueError("port out of range")
-    coarse = ig.single_a[..., i]
-
-    def value(phi1: float) -> float:
-        return float(ig.point_joint(phi1, 0.0)[i].sum())
-
-    if ig.grid.mode == LOCKED:
-        idx_max = int(np.argmax(coarse))
-        idx_min = int(np.argmin(coarse))
-        phis = ig.grid.phi1_values
-    else:
-        idx_max = int(np.unravel_index(np.argmax(coarse), coarse.shape)[0])
-        idx_min = int(np.unravel_index(np.argmin(coarse), coarse.shape)[0])
-        phis = ig.grid.phi1_values
-    window = 1.5 * ig.grid.spacing
-    _, vmax = _refine_1d(value, phis[idx_max], window, True)
-    _, vmin = _refine_1d(value, phis[idx_min], window, False)
+def _visibility(fringe: np.ndarray, grid: PhaseGrid) -> float:
+    vmax, vmin = _fringe_extrema(_fourier_coefficients(fringe, grid), grid.phi1_values)
     if vmax + vmin <= 0.0:
         return 0.0
     return float(min(1.0, (vmax - vmin) / (vmax + vmin)))
 
 
-def _corrected_value(joint: np.ndarray, i: int, j: int) -> float:
-    single_a = joint.sum(axis=-1)
-    single_bc = joint.sum(axis=-2)
-    return float(joint[i, j] - single_a[i] * single_bc[j] + 0.25)
+def visibility_single(ig: Interferogram, i: int) -> float:
+    """Single-particle fringe visibility (max-min)/(max+min) of p_A(i), from
+    the exact extrema of its Fourier series; needs an independent grid."""
+    if i not in (0, 1):
+        raise ValueError("port out of range")
+    return _visibility(ig.single_a[..., i], ig.grid)
 
 
 def corrected_port_visibility(ig: Interferogram, i: int, j: int) -> float:
     """Fringe visibility of the corrected joint probability for any BC port,
-    including the zero-support ports 2 and 3."""
+    including the zero-support ports 2 and 3; needs an independent grid."""
     if i not in (0, 1) or j not in (0, 1, 2, 3):
         raise ValueError("port out of range")
-    coarse = ig.corrected_full[..., i, j]
-    vmax = _extremum(ig, lambda jt: _corrected_value(jt, i, j), coarse, True)
-    vmin = _extremum(ig, lambda jt: _corrected_value(jt, i, j), coarse, False)
-    if vmax + vmin <= 0.0:
-        return 0.0
-    return float(min(1.0, (vmax - vmin) / (vmax + vmin)))
+    return _visibility(ig.corrected_full[..., i, j], ig.grid)
 
 
 def visibility_two_party(ig: Interferogram, i: int, j: int) -> float:
@@ -442,20 +387,7 @@ def extended_basis_visibility(xi: PureState, coeffs: Sequence[complex],
         raise ValueError("expected 4 coefficients")
     if abs(np.linalg.norm(c) - 1.0) > 1e-9:
         raise ValueError("coefficients must be normalized")
-    port_vis = _preferred_port_visibilities(
-        xi.amplitudes.tobytes(), grid.phi1_values.tobytes(),
-        grid.phi2_values.tobytes(), grid.mode)
+    ig = sweep_interferogram(xi, preferred_basis(xi), grid)
+    port_vis = [corrected_port_visibility(ig, 0, j) for j in range(4)]
     weights = np.abs(c) ** 2
     return float(np.dot(weights, port_vis))
-
-
-@lru_cache(maxsize=128)
-def _preferred_port_visibilities(amp_bytes: bytes, p1_bytes: bytes,
-                                 p2_bytes: bytes, mode: str) -> tuple:
-    """Corrected visibilities of the four preferred ports; cached because
-    they are reused across every measurement direction of the same state."""
-    xi = PureState(np.frombuffer(amp_bytes, dtype=np.complex128).copy(), 3)
-    grid = PhaseGrid(np.frombuffer(p1_bytes, dtype=float).copy(),
-                     np.frombuffer(p2_bytes, dtype=float).copy(), mode)
-    ig = sweep_interferogram(xi, general_basis_rotation(preferred_basis(xi)), grid)
-    return tuple(corrected_port_visibility(ig, 0, j) for j in range(4))

@@ -153,7 +153,7 @@ class TestVerify:
 
     def test_impossible_tolerance_fails_with_exit_1(self, capsys):
         code, out, _ = run(capsys, "verify", "--random", "--count", "1",
-                           "--tolerance", "1e-18", "--phase-points", "36")
+                           "--tolerance", "0", "--phase-points", "36")
         assert code == 1
 
     def test_missing_target_is_usage_error(self, capsys):

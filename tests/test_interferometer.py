@@ -3,11 +3,14 @@
 import numpy as np
 import pytest
 
-from qcomplement.core import PureState, UnitaryMatrix, tensor_product
+from qcomplement.core import DEGENERACY_TOL, PureState, UnitaryMatrix, tensor_product
 from qcomplement.interferometer import (
     INDEPENDENT,
     LOCKED,
     PhaseGrid,
+    _MODES,
+    _fourier_coefficients,
+    _fringe_extrema,
     basis_rotation_R,
     corrected_port_visibility,
     extended_basis_visibility,
@@ -39,6 +42,28 @@ GRID = PhaseGrid.uniform(36, INDEPENDENT)
 GRID_LOCKED = PhaseGrid.uniform(36, LOCKED)
 
 
+def _schmidt_state(lam, seed):
+    """sqrt(1 - lam) |0>|b0> + sqrt(lam) |1>|b1> with random orthonormal BC
+    vectors b0, b1: Schmidt coefficients sigma0^2 = 1 - lam, sigma1^2 = lam."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+    amps = np.concatenate([np.sqrt(1.0 - lam) * q[:, 0], np.sqrt(lam) * q[:, 1]])
+    return PureState(amps, 3)
+
+
+def _dense_extrema(f, n=3000, rows=300):
+    """Max and min of the fringe with 3x3 Fourier coefficients f, sampled on
+    an n x n grid (in blocks of rows to bound memory)."""
+    phis = np.linspace(0.0, 2 * np.pi, n, endpoint=False)
+    e = np.exp(1j * np.outer(phis, _MODES))
+    right = f @ e.T
+    hi, lo = -np.inf, np.inf
+    for start in range(0, n, rows):
+        vals = (e[start:start + rows] @ right).real
+        hi, lo = max(hi, vals.max()), min(lo, vals.min())
+    return hi, lo
+
+
 def _product_state(theta):
     amps = np.zeros(8)
     amps[0b000], amps[0b100] = np.cos(theta), np.sin(theta)
@@ -64,6 +89,12 @@ class TestPhaseGrid:
     def test_rejects_unknown_mode(self):
         with pytest.raises(ValueError, match="mode"):
             PhaseGrid.uniform(16, "diagonal")
+
+    @pytest.mark.parametrize("step", [0.1, 0.5])
+    def test_rejects_grid_not_covering_one_period(self, step):
+        vals = step * np.arange(16)
+        with pytest.raises(ValueError, match="one period"):
+            PhaseGrid(vals, vals.copy(), INDEPENDENT)
 
 
 class TestTransducer:
@@ -193,11 +224,14 @@ class TestInterferogram:
         # Shifting every phase by one grid step rolls the interferogram.
         psi = random_pure_state(6)
         ig = sweep_interferogram(psi, preferred_basis(psi), GRID_LOCKED)
+        r = general_basis_rotation(preferred_basis(psi))
         rolled = np.roll(ig.joint, -1, axis=0)
-        shifted = np.array([ig.point_joint(p + GRID_LOCKED.spacing,
-                                           p + GRID_LOCKED.spacing)
-                            for p in GRID_LOCKED.phi1_values])
-        assert np.max(np.abs(shifted - rolled)) < 1e-10
+        shifted = []
+        for p in GRID_LOCKED.phi1_values + GRID_LOCKED.spacing:
+            out = output_state(psi, p, p, r)
+            shifted.append([[joint_probability(out, i, j, r) for j in range(4)]
+                            for i in range(2)])
+        assert np.max(np.abs(np.array(shifted) - rolled)) < 1e-10
 
     def test_corrected_probability_bounds(self):
         for seed in range(10):
@@ -230,6 +264,16 @@ class TestVisibilitySingle:
         ig = sweep_interferogram(psi, preferred_basis(psi), GRID)
         assert abs(visibility_single(ig, 0) - np.sin(np.pi / 4)) < 1e-6
 
+    def test_phi1_only_fringe_extrema_are_exact(self):
+        # B = 0 exactly (no phi2 dependence, as for p_A): the stationary
+        # polynomial vanishes identically and the roots of A' decide.
+        f = np.zeros((3, 3), dtype=complex)
+        f[1, 1] = 0.5
+        f[2, 1] = 0.15 * np.exp(-0.2j)
+        f[0, 1] = np.conj(f[2, 1])
+        vmax, vmin = _fringe_extrema(f, GRID.phi1_values)
+        assert abs(vmax - 0.8) < 1e-15 and abs(vmin - 0.2) < 1e-15
+
     def test_port_error(self):
         psi = random_pure_state(8)
         ig = sweep_interferogram(psi, preferred_basis(psi), GRID)
@@ -258,6 +302,40 @@ class TestVisibilityTwoParty:
         ig = sweep_interferogram(psi, preferred_basis(psi), GRID)
         with pytest.raises(ValueError, match="outside support"):
             visibility_two_party(ig, 0, 2)
+
+    def test_locked_grid_rejected(self):
+        # phi1 = phi2 folds the (1, -1) fringe mode into the constant term;
+        # the folded value (0.768 here, against C = 0.779) must not be
+        # reported as a visibility.
+        psi = random_pure_state(3)
+        ig = sweep_interferogram(psi, preferred_basis(psi), GRID_LOCKED)
+        with pytest.raises(ValueError, match="independent phase grid"):
+            visibility_two_party(ig, 0, 0)
+        with pytest.raises(ValueError, match="independent phase grid"):
+            visibility_single(ig, 0)
+        with pytest.raises(ValueError, match="independent phase grid"):
+            extended_basis_visibility(psi, [1, 0, 0, 0], GRID_LOCKED)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_independent_of_grid_size(self, seed):
+        psi = random_pure_state(seed + 40)
+        basis = preferred_basis(psi)
+        v2 = [visibility_two_party(sweep_interferogram(
+            psi, basis, PhaseGrid.uniform(n, INDEPENDENT)), 0, 0)
+            for n in (16, 36, 360)]
+        assert max(v2) - min(v2) <= 1e-13
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="ROADMAP item 2: the eigensolve basis route groups "
+                              "a support eigenvalue below DEGENERACY_TOL with "
+                              "the kernel, so V2 misses C near product states")
+    @pytest.mark.parametrize("lam", [1e-10, 1e-12])
+    def test_near_product_equals_schmidt_concurrence(self, lam):
+        psi = _schmidt_state(lam, 0)
+        sigma = np.linalg.svd(psi.amplitudes.reshape(2, 4), compute_uv=False)
+        assert sigma[1] ** 2 < DEGENERACY_TOL
+        ig = sweep_interferogram(psi, preferred_basis(psi), GRID)
+        assert abs(visibility_two_party(ig, 0, 0) - 2 * sigma[0] * sigma[1]) <= 1e-12
 
     @pytest.mark.parametrize("seed", range(15))
     def test_oracle_equivalence(self, seed):
@@ -338,3 +416,19 @@ class TestExtendedBasis:
         for j in range(4):
             v = corrected_port_visibility(ig, 0, j)
             assert v * v + s * s <= 1.0 + 1e-8
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_exact_extrema_bound_dense_sampling(self, seed):
+        # In a random basis every Fourier mode is present; the exact extrema
+        # must enclose the values sampled on a fine grid and be close to them.
+        psi = random_pure_state(seed + 300)
+        rng = np.random.default_rng(seed + 300)
+        q, _ = np.linalg.qr(rng.standard_normal((4, 4))
+                            + 1j * rng.standard_normal((4, 4)))
+        ig = sweep_interferogram(psi, general_basis_rotation(q), GRID)
+        for j in range(4):
+            f = _fourier_coefficients(ig.corrected_full[..., 0, j], GRID)
+            vmax, vmin = _fringe_extrema(f, GRID.phi1_values)
+            hi, lo = _dense_extrema(f)
+            assert hi <= vmax <= hi + 1e-6
+            assert lo - 1e-6 <= vmin <= lo

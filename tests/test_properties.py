@@ -4,9 +4,16 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcomplement.core import PureState, partial_trace
+from qcomplement.core import PureState, UnitaryMatrix, apply_unitary, partial_trace
+from qcomplement.interferometer import (
+    INDEPENDENT,
+    PhaseGrid,
+    sweep_interferogram,
+    visibility_two_party,
+)
 from qcomplement.measures import (
     concurrence_bipartition,
+    preferred_basis,
     single_particle_character,
 )
 from qcomplement.states import FamilyParams, amplitudes_from_angles
@@ -43,3 +50,20 @@ def test_reduced_state_purity_bounds(seed):
     rho_a = partial_trace(psi.density_matrix(), [0]).entries
     purity = np.trace(rho_a @ rho_a).real
     assert 0.5 - 1e-12 <= purity <= 1.0 + 1e-12
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(min_value=0, max_value=2**31 - 1),
+       st.lists(angle, min_size=8, max_size=8), angle, angle, angle)
+def test_two_party_visibility_equals_schmidt_concurrence(seed, phases, t, beta, gamma):
+    # Random state, complex relative phases on every amplitude, then a local
+    # SU(2) rotation of A; V2 from the interferometer must equal 2 sigma0 sigma1.
+    rng = np.random.default_rng(seed)
+    raw = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+    raw = raw / np.linalg.norm(raw) * np.exp(1j * np.array(phases))
+    u_a = np.array([[np.cos(t) * np.exp(1j * beta), -np.sin(t) * np.exp(-1j * gamma)],
+                    [np.sin(t) * np.exp(1j * gamma), np.cos(t) * np.exp(-1j * beta)]])
+    psi = apply_unitary(PureState(raw, 3), UnitaryMatrix(u_a), [0])
+    sigma = np.linalg.svd(psi.amplitudes.reshape(2, 4), compute_uv=False)
+    ig = sweep_interferogram(psi, preferred_basis(psi), PhaseGrid.uniform(36, INDEPENDENT))
+    assert abs(visibility_two_party(ig, 0, 0) - 2 * sigma[0] * sigma[1]) <= 1e-12
